@@ -18,9 +18,11 @@ fixpoint computation over graph edges"):
   loop stops when ``max |Delta| < eps`` (Theorem 1 guarantees
   contraction by a factor of w+ + w-).
 
-Upper-bound updating (Section 3.4): pairs whose Eq.-6 bound is below
-``beta`` are frozen at ``alpha * ub`` and only participate as neighbor
-lookups, never recomputed.
+Upper-bound updating (Section 3.4): every score is at most 1, so the
+Eq.-6 bound is one Eq.-1 update on a unit score map (every candidate
+pair scores 1). Pairs whose bound is below ``beta`` are frozen at
+``alpha * ub`` and only participate as neighbor lookups, never
+recomputed.
 
 The ``simrank`` variant (Section 4.3) reuses the same loop with
 ``M = S1 x S2`` and ``Omega = |S1||S2|``; RoleSim reuses ``bj`` with a
@@ -38,15 +40,10 @@ from pyspark.sql import functions as F
 
 from ..graphs.model import Graph
 from .labels import label_sim_df
-from .ops import greedy_matching_card_col, greedy_matching_sum_col
+from .ops import greedy_matching_sum_col
 from .reference import FSimConfig
 
 _VARIANTS = ("s", "dp", "b", "bj", "simrank")
-
-
-def _direction_edges(g: Graph, out: bool, u_name: str, n_name: str) -> DataFrame:
-    src, dst = ("src", "dst") if out else ("dst", "src")
-    return g.edges.select(F.col(src).alias(u_name), F.col(dst).alias(n_name))
 
 
 def _norm_expr(variant: str, d1: Column, d2: Column, msum: Column) -> Column:
@@ -101,22 +98,28 @@ def _mapping_sum(variant: str, e1d: DataFrame, e2d: DataFrame,
     return agg.select("u", "v", greedy_matching_sum_col("cand").alias("msum"))
 
 
-def _mapping_card(variant: str, e1d: DataFrame, e2d: DataFrame,
-                  eligible: DataFrame) -> DataFrame:
-    """|M_chi| per (u,v) under label feasibility only (Eq. 6 upper bound)."""
-    rows = e1d.join(eligible, "x").join(e2d, "y")
-    if variant == "s":
-        return rows.groupBy("u", "v").agg(
-            F.countDistinct("x").cast("double").alias("mcard"))
-    if variant == "b":
-        return rows.groupBy("u", "v").agg(
-            (F.countDistinct("x") + F.countDistinct("y")).cast("double").alias("mcard")
+def _update(cfg: FSimConfig, g1: Graph, g2: Graph, cand: DataFrame,
+            lookup: DataFrame) -> DataFrame:
+    """One Eq.-1 update: ``(u, v, score)`` for every pair of ``cand``.
+
+    ``lookup`` is the score relation ``(x, y, s)`` the neighbor mappings
+    read; a pair of ``cand`` that gets no neighbor messages maps nothing.
+    """
+    def msum(out: bool, name: str) -> DataFrame:
+        return _mapping_sum(cfg.variant, g1.neighbors(out, "u", "x"),
+                            g2.neighbors(out, "v", "y"),
+                            lookup).withColumnRenamed("msum", name)
+
+    v = cfg.variant
+    return (
+        cand.join(msum(True, "m_out"), ["u", "v"], "left")
+        .join(msum(False, "m_in"), ["u", "v"], "left")
+        .select(
+            "u", "v",
+            (cfg.w_out * _norm_expr(v, F.col("do1"), F.col("do2"), F.col("m_out"))
+             + cfg.w_in * _norm_expr(v, F.col("di1"), F.col("di2"), F.col("m_in"))
+             + cfg.w_label * F.col("lsim")).alias("score"),
         )
-    agg = rows.groupBy("u", "v").agg(
-        F.collect_list(F.struct("x", "y", F.lit(1.0).alias("s"))).alias("cand")
-    )
-    return agg.select(
-        "u", "v", greedy_matching_card_col("cand").alias("mcard")
     )
 
 
@@ -165,32 +168,15 @@ def fsim_spark(
     assert cfg.variant in _VARIANTS, cfg.variant
     cand = _candidates(spark, g1, g2, cfg).localCheckpoint()
 
-    e1o = _direction_edges(g1, True, "u", "x")
-    e2o = _direction_edges(g2, True, "v", "y")
-    e1i = _direction_edges(g1, False, "u", "x")
-    e2i = _direction_edges(g2, False, "v", "y")
-
     # ---- upper-bound updating: freeze pairs with ub < beta at alpha*ub
     frozen = spark.createDataFrame([], schema="u long, v long, score double")
     if cfg.upper_bound:
-        eligible = cand.select(F.col("u").alias("x"), F.col("v").alias("y"))
-        co = _mapping_card(cfg.variant, e1o, e2o, eligible)
-        ci = (_mapping_card(cfg.variant, e1i, e2i, eligible)
-              .withColumnRenamed("mcard", "mcard_in"))
-        ub_df = (
-            cand.join(co, ["u", "v"], "left").join(ci, ["u", "v"], "left")
-            .withColumn(
-                "ub",
-                cfg.w_out * _norm_expr(cfg.variant, F.col("do1"), F.col("do2"),
-                                       F.col("mcard"))
-                + cfg.w_in * _norm_expr(cfg.variant, F.col("di1"), F.col("di2"),
-                                        F.col("mcard_in"))
-                + cfg.w_label * F.col("lsim"),
-            )
-        )
+        unit = cand.select(F.col("u").alias("x"), F.col("v").alias("y"),
+                           F.lit(1.0).alias("s"))
         frozen = (
-            ub_df.filter(F.col("ub") < cfg.beta)
-            .select("u", "v", (cfg.alpha * F.col("ub")).alias("score"))
+            _update(cfg, g1, g2, cand, unit)
+            .filter(F.col("score") < cfg.beta)
+            .select("u", "v", (cfg.alpha * F.col("score")).alias("score"))
             .localCheckpoint()
         )
         cand = (
@@ -203,70 +189,51 @@ def fsim_spark(
     scores = scores.localCheckpoint()
 
     debug = bool(os.environ.get("REPRO_FSIM_DEBUG"))
-    n_iters = cfg.exact_iters if cfg.exact_iters is not None else cfg.max_iter
+    converging = cfg.exact_iters is None
+    n_iters = cfg.max_iter if converging else cfg.exact_iters
     prev_delta: Optional[float] = None
     for it in range(n_iters):
         t_iter = time.time()
         lookup = scores.unionByName(frozen).select(
             F.col("u").alias("x"), F.col("v").alias("y"),
             F.col("score").alias("s"))
-        mo = _mapping_sum(cfg.variant, e1o, e2o, lookup)
-        mi = (_mapping_sum(cfg.variant, e1i, e2i, lookup)
-              .withColumnRenamed("msum", "msum_in"))
-        new = (
-            cand.join(mo, ["u", "v"], "left").join(mi, ["u", "v"], "left")
-            .select(
-                "u", "v",
-                (cfg.w_out * _norm_expr(cfg.variant, F.col("do1"), F.col("do2"),
-                                        F.col("msum"))
-                 + cfg.w_in * _norm_expr(cfg.variant, F.col("di1"), F.col("di2"),
-                                         F.col("msum_in"))
-                 + cfg.w_label * F.col("lsim")).alias("score"),
-            )
-        )
+        new = _update(cfg, g1, g2, cand, lookup)
         if pin_diagonal:
             new = new.withColumn(
                 "score",
                 F.when(F.col("u") == F.col("v"), F.lit(1.0))
                 .otherwise(F.col("score")))
         new = new.localCheckpoint(eager=True)
-        if cfg.exact_iters is None:
+        delta = None
+        if converging:  # exact_iters runs skip this Spark job
             delta = (
                 new.join(scores.withColumnRenamed("score", "prev"), ["u", "v"])
                 .agg(F.max(F.abs(F.col("score") - F.col("prev"))))
                 .first()[0]
             )
-            scores = new
+        scores = new
+        if debug:
+            shown = f" delta={delta}" if converging else ""
+            print(f"[fsim {cfg.variant}] iter={it + 1}{shown} "
+                  f"dt={time.time() - t_iter:.2f}s", file=sys.stderr)
+        if not converging:
+            continue
+        if delta is None or delta < cfg.eps:
+            break
+        # Oscillation guard: with exact maximum mappings (Theorem 1,
+        # C3) delta contracts by >= (w+ + w-) each iteration. The
+        # greedy dp/bj approximation can instead settle into a
+        # 2-cycle between tied matchings, leaving delta pinned at
+        # the cycle amplitude. A delta that stopped contracting
+        # (changed < 5% — true contraction shrinks it >= 20% at the
+        # paper's weights) is such a cycle: the scores themselves
+        # are stable up to the greedy tie, so stop.
+        if (cfg.variant in ("dp", "bj")
+                and prev_delta is not None and it >= 2
+                and abs(delta - prev_delta) < 0.05 * delta):
             if debug:
-                print(f"[fsim {cfg.variant}] iter={it + 1} delta={delta} "
-                      f"dt={time.time() - t_iter:.2f}s", file=sys.stderr)
-            if delta is None or delta < cfg.eps:
-                break
-            # Oscillation guard: with exact maximum mappings (Theorem 1,
-            # C3) delta contracts by >= (w+ + w-) each iteration. The
-            # greedy dp/bj approximation can instead settle into a
-            # 2-cycle between tied matchings, leaving delta pinned at
-            # the cycle amplitude. A delta that stopped contracting
-            # (changed < 5% — true contraction shrinks it >= 20% at the
-            # paper's weights) is such a cycle: the scores themselves
-            # are stable up to the greedy tie, so stop.
-            if (cfg.variant in ("dp", "bj")
-                    and prev_delta is not None and it >= 2
-                    and abs(delta - prev_delta) < 0.05 * delta):
-                if debug:
-                    print(f"[fsim {cfg.variant}] greedy-tie plateau at "
-                          f"delta={delta}; stopping", file=sys.stderr)
-                break
-            prev_delta = delta
-        else:
-            scores = new
-            if debug:
-                print(f"[fsim {cfg.variant}] iter={it + 1} "
-                      f"dt={time.time() - t_iter:.2f}s", file=sys.stderr)
+                print(f"[fsim {cfg.variant}] greedy-tie plateau at "
+                      f"delta={delta}; stopping", file=sys.stderr)
+            break
+        prev_delta = delta
     return (scores, frozen) if return_frozen else scores
-
-
-def fsim_scores_pd(spark: SparkSession, g1: Graph, g2: Graph,
-                   cfg: FSimConfig, **kw):
-    """Convenience: run the engine and collect ``(u, v, score)`` to pandas."""
-    return fsim_spark(spark, g1, g2, cfg, **kw).toPandas()

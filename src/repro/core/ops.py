@@ -4,8 +4,8 @@ The dp/bj mapping operators are maximum-weight bipartite matchings; the
 paper uses "a popular greedy approximate of Hungarian" [23], which we
 mirror: scan candidate pairs in decreasing-score order and take every
 pair whose endpoints are both unused. The same kernel with unit weights
-yields the label-feasible matching *cardinality* |M| used by
-upper-bound updating (Eq. 6).
+yields the label-feasible matching *cardinality* |M| of the reference's
+upper bound (Eq. 6).
 
 Two implementations with identical semantics (cross-checked in tests):
 a pure-Python kernel (reference implementation, driver-side baselines)
@@ -104,7 +104,7 @@ _GREEDY_FOLD = (
     "              named_struct('ux', array_append(st.ux, c.x),"
     "                           'uy', array_append(st.uy, c.y),"
     "                           'tot', st.tot + c.s)),"
-    "  st -> {finish})"
+    "  st -> st.tot)"
 )
 
 
@@ -117,13 +117,4 @@ def greedy_matching_sum_col(cand_col: str) -> "F.Column":
     FSim loop free of Python workers (a long-running pandas-UDF loop
     degrades catastrophically after ~15 iterations; see DESIGN.md).
     """
-    return F.expr(_GREEDY_FOLD.format(col=cand_col, cmp=_SORT_CMP,
-                                      finish="st.tot"))
-
-
-def greedy_matching_card_col(cand_col: str) -> "F.Column":
-    """Greedy matching *cardinality* as a pure Catalyst column."""
-    return F.expr(_GREEDY_FOLD.format(col=cand_col, cmp=_SORT_CMP,
-                                      finish="cast(size(st.ux) as double)"))
-
-
+    return F.expr(_GREEDY_FOLD.format(col=cand_col, cmp=_SORT_CMP))

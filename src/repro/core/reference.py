@@ -109,16 +109,17 @@ def _mapping_sum(
             vals = [score[(x, y)] for x in s1 if (x, y) in score]
             tot += max(vals) if vals else 0.0
         return tot
-    # dp / bj: greedy max-weight matching over eligible pairs
+    # dp / bj: greedy max-weight matching over eligible pairs, keyed by
+    # node id so ties break by (-s, x, y) whatever the edge-row order
     xs: List[int] = []
     ys: List[int] = []
     ss: List[float] = []
-    for i, x in enumerate(s1):
-        for j, y in enumerate(s2):
+    for x in s1:
+        for y in s2:
             v = score.get((x, y))
             if v is not None:
-                xs.append(i)
-                ys.append(j)
+                xs.append(x)
+                ys.append(y)
                 ss.append(v)
     return greedy_matching(xs, ys, ss)[0]
 
@@ -150,11 +151,11 @@ def _label_feasible_card(variant: str, s1: List[int], s2: List[int],
         return (sum(1 for x in s1 if any((x, y) in eligible for y in s2))
                 + sum(1 for y in s2 if any((x, y) in eligible for x in s1)))
     xs, ys = [], []
-    for i, x in enumerate(s1):
-        for j, y in enumerate(s2):
+    for x in s1:
+        for y in s2:
             if (x, y) in eligible:
-                xs.append(i)
-                ys.append(j)
+                xs.append(x)
+                ys.append(y)
     return greedy_matching_cardinality(xs, ys)
 
 

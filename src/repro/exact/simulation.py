@@ -12,8 +12,7 @@ neighbor conditions until stable.
   UDF over the pair's surviving neighbor candidates.
 
 Cross-checked against the Python reference (``exact/pysim.py``) in the
-tests; used for Table 2 verdicts and the exact-simulation rows of the
-case studies.
+tests; the Table-2 verdicts come from that Python reference.
 """
 from __future__ import annotations
 
@@ -24,11 +23,6 @@ from pyspark.sql.types import BooleanType
 
 from ..core.ops import kuhn_saturating
 from ..graphs.model import Graph
-
-
-def _dir_edges(g: Graph, out: bool, u: str, n: str) -> DataFrame:
-    s, d = ("src", "dst") if out else ("dst", "src")
-    return g.edges.select(F.col(s).alias(u), F.col(d).alias(n))
 
 
 @F.pandas_udf(BooleanType())
@@ -116,8 +110,8 @@ def exact_simulation_spark(spark: SparkSession, g1: Graph, g2: Graph,
         .select("u", "v")
         .localCheckpoint()
     )
-    e1o, e2o = _dir_edges(g1, True, "u", "x"), _dir_edges(g2, True, "v", "y")
-    e1i, e2i = _dir_edges(g1, False, "u", "x"), _dir_edges(g2, False, "v", "y")
+    e1o, e2o = g1.neighbors(True, "u", "x"), g2.neighbors(True, "v", "y")
+    e1i, e2i = g1.neighbors(False, "u", "x"), g2.neighbors(False, "v", "y")
     d1 = g1.degrees()
     d2 = g2.degrees()
     d1o = d1.select(F.col("id").alias("u"), F.col("dout").alias("d1"))

@@ -59,13 +59,11 @@ class Graph:
         return Graph.from_pandas(spark, nodes, edges)
 
     # ---------------------------------------------------------------- views
-    def out_edges(self) -> DataFrame:
-        """Edges as ``(u, nbr)`` where ``nbr`` is an out-neighbor of ``u``."""
-        return self.edges.select(F.col("src").alias("u"), F.col("dst").alias("nbr"))
-
-    def in_edges(self) -> DataFrame:
-        """Edges as ``(u, nbr)`` where ``nbr`` is an in-neighbor of ``u``."""
-        return self.edges.select(F.col("dst").alias("u"), F.col("src").alias("nbr"))
+    def neighbors(self, out: bool, node: str, nbr: str) -> DataFrame:
+        """Edges as ``(node, nbr)``: ``nbr`` is an out-neighbor of ``node``
+        if ``out``, else an in-neighbor."""
+        src, dst = ("src", "dst") if out else ("dst", "src")
+        return self.edges.select(F.col(src).alias(node), F.col(dst).alias(nbr))
 
     def degrees(self) -> DataFrame:
         """Per-node out/in degrees: ``(id, label, dout, din)``; absent = 0."""

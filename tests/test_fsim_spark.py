@@ -6,6 +6,7 @@ same number of iterations (eps-converged dp/bj runs may stop at
 different phases of a greedy-tie cycle; see DESIGN.md).
 """
 import random
+import re
 
 import pytest
 
@@ -74,6 +75,46 @@ class TestEngineMatchesReference:
         ref = fsim_reference(G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES, cfg)
         assert_same(got, ref.scores)
         assert_same(got_frozen, ref.frozen)
+
+
+@pytest.mark.parametrize("upper_bound", [False, True])
+@pytest.mark.parametrize("variant", ["dp", "bj"])
+def test_greedy_ties_ignore_edge_row_order(spark, variant, upper_bound):
+    """dp/bj greedy ties break by node id on both sides, so the reference
+    agrees with the engine on edges read in any row order."""
+    l1, e1 = random_graph(7)
+    l2, e2 = random_graph(8)
+    rng = random.Random(5)
+    e1, e2 = rng.sample(e1, len(e1)), rng.sample(e2, len(e2))
+    cfg = FSimConfig(variant=variant, theta=0.0, exact_iters=3,
+                     upper_bound=upper_bound, alpha=0.2, beta=0.6)
+    g1 = Graph.from_edge_list(spark, l1, e1)
+    g2 = Graph.from_edge_list(spark, l2, e2)
+    scores_df, frozen_df = fsim_spark(spark, g1, g2, cfg, return_frozen=True)
+    ref = fsim_reference(l1, e1, l2, e2, cfg)
+    assert_same({(r["u"], r["v"]): r["score"] for r in scores_df.collect()},
+                ref.scores)
+    assert_same({(r["u"], r["v"]): r["score"] for r in frozen_df.collect()},
+                ref.frozen)
+
+
+# The per-iteration line that benchmark tooling parses for iteration
+# counts and durations.
+ITER_LINE = re.compile(r"^\[fsim \w+\] iter=\d+ .*dt=([0-9.]+)s")
+
+
+@pytest.mark.parametrize("exact_iters", [None, 3])
+def test_debug_line_per_iteration(spark, monkeypatch, capsys, exact_iters):
+    monkeypatch.setenv("REPRO_FSIM_DEBUG", "1")
+    cfg = FSimConfig(variant="s", exact_iters=exact_iters)
+    spark_scores(spark, G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES, cfg)
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if ITER_LINE.match(ln)]
+    iters = fsim_reference(G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES,
+                           cfg).iterations
+    assert iters > 1
+    assert [int(re.search(r"iter=(\d+)", ln).group(1)) for ln in lines] \
+        == list(range(1, iters + 1))
 
 
 class TestEngineProperties:

@@ -66,12 +66,28 @@ class TestDegreesOracle:
 
     def test_out_in_edge_views_vs_duckdb(self, spark, g):
         graph, nodes, edges = g
-        assert_equivalent(graph.out_edges(),
+        assert_equivalent(graph.neighbors(True, "u", "nbr"),
                           "SELECT src AS u, dst AS nbr FROM edges",
                           edges=edges)
-        assert_equivalent(graph.in_edges(),
+        assert_equivalent(graph.neighbors(False, "u", "nbr"),
                           "SELECT dst AS u, src AS nbr FROM edges",
                           edges=edges)
+
+    def test_oracle_catches_wrong_result(self, spark, g):
+        # 1% error: beyond assert_frame_equal's default rtol, so the
+        # oracle must flag it rather than round it away
+        graph, nodes, edges = g
+        sql = """
+            SELECT n.id, coalesce(o.c, 0) AS dout
+            FROM nodes n
+            LEFT JOIN (SELECT src, count(*) c FROM edges GROUP BY src) o
+              ON n.id = o.src
+            """
+        dout = graph.degrees().select("id", "dout")
+        assert_equivalent(dout, sql, nodes=nodes, edges=edges)
+        wrong = dout.select("id", (F.col("dout") * 1.01).alias("dout"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(wrong, sql, nodes=nodes, edges=edges)
 
 
 class TestStats:
